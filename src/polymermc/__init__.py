@@ -42,6 +42,7 @@ from .partition import (
     annealed_mean_check,
     enumerate_logZ,
     montecarlo_logZ,
+    propagate,
     transfer_matrix_logZ,
 )
 from .polymer import (

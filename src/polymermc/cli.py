@@ -3,10 +3,10 @@
 Subcommands: validate-env, sweep, fit, oracle-check, report.
 Exit codes: 0 ok, 1 validation failure, 2 config error, 3 resume mismatch.
 
-The sweep is resumable and deterministic: work is keyed by (beta, t,
-replica), each key is a pure function of the config digest and master seed,
-and results are reduced in key order, so worker count and interruption never
-change an output byte.
+The sweep is resumable and deterministic: a task is one replica at every
+(beta, t), its results are keyed by (beta, t, replica), each key is a pure
+function of the config digest and master seed, and results are reduced in
+key order, so worker count and interruption never change an output byte.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .free_energy import (
     FreeEnergyPoint,
     ModelConfig,
     compensated_values,
-    extrapolate_in_t,
     fit_log_corrected,
     fit_power_law,
     invariant_report,
-    make_grid,
-    point_from_replicas,
     single_replica_log_z,
+    sweep_curve,
+    sweep_grids,
 )
 from .partition import WalkKernel, annealed_mean_check, enumerate_logZ, transfer_matrix_logZ
 
@@ -56,6 +55,13 @@ _SCHEMA = {
     "fit": {"kind", "gamma", "beta_min"},
     "brownian": {"eps_prefactor", "n_paths"},
     "output": {"dir"},
+}
+
+_REQUIRED = {
+    "covariance": ("family", "q0"),
+    "lattice": ("d", "extent"),
+    "time": ("horizons",),
+    "sweep": ("betas", "n_replicas", "master_seed"),
 }
 
 CURVE_COLUMNS = [
@@ -90,6 +96,10 @@ def load_config(path) -> dict:
     for required in ("model", "covariance", "lattice", "time", "sweep"):
         if required not in raw:
             raise ConfigError(f"missing config block {required!r}")
+    for block, keys in _REQUIRED.items():
+        for key in keys:
+            if key not in raw[block]:
+                raise ConfigError(f"missing config key {block!r}.{key!r}")
     return raw
 
 
@@ -119,25 +129,45 @@ def build_model(raw: dict) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # sweep driver
 
-def _task(model: ModelConfig, beta: float, t: float, n_steps: int, seed: int, replica: int):
-    grid = TimeGrid(horizon=t, n_steps=n_steps)
-    log_z, boundary = single_replica_log_z(model, beta, grid, seed, replica)
-    return (beta, t, replica), log_z, boundary
-
-
-def _run_tasks(model, tasks, threads):
-    results = {}
+def _run_tasks(model, betas, grids, seed, replicas, threads):
+    """(replica, {(beta, t): (log Z, boundary mass)}) per task, in
+    completion order."""
     if threads <= 1:
-        for args in tasks:
-            key, log_z, boundary = _task(model, *args)
-            results[key] = (log_z, boundary)
-            yield key, log_z, boundary
+        for r in replicas:
+            yield r, single_replica_log_z(model, betas, grids, seed, r)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_task, model, *args) for args in tasks]
+            futures = {pool.submit(single_replica_log_z, model, betas, grids, seed, r): r
+                       for r in replicas}
             for fut in concurrent.futures.as_completed(futures):
-                key, log_z, boundary = fut.result()
-                yield key, log_z, boundary
+                yield futures[fut], fut.result()
+
+
+def _read_checkpoint(path: Path, digest: str, seed: int):
+    """Records of an interrupted sweep, {(beta, t, replica): (log Z,
+    boundary mass)}, or None when not even the header line survived.
+
+    A crash mid-write leaves a torn last line; the file is cut back to its
+    last complete line, and the replicas with missing keys are recomputed.
+    """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    lines = data[:complete].decode().splitlines()
+    if not lines:
+        return None
+    header = json.loads(lines[0])
+    if header.get("config_digest") != digest or header.get("master_seed") != seed:
+        raise ResumeMismatch(
+            f"checkpoint digest {header.get('config_digest')} does not match {digest}"
+        )
+    if complete < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+    done = {}
+    for line in lines[1:]:
+        rec = json.loads(line)
+        done[(rec["beta"], rec["t"], rec["replica"])] = (rec["log_z"], rec["boundary_mass"])
+    return done
 
 
 def run_sweep(raw, out_dir: Path, seed_override=None, threads=1, resume=False):
@@ -146,63 +176,41 @@ def run_sweep(raw, out_dir: Path, seed_override=None, threads=1, resume=False):
     sweep = raw["sweep"]
     seed = int(seed_override if seed_override is not None else sweep["master_seed"])
     betas = sorted(float(b) for b in sweep["betas"])
-    horizons = sorted(float(t) for t in raw["time"]["horizons"])
     n_replicas = int(sweep["n_replicas"])
-    dt = model.dt_target(max(betas))
-    grids = {t: make_grid(model, max(betas), t, dt) for t in horizons}
+    grids = sweep_grids(model, betas, sorted(float(t) for t in raw["time"]["horizons"]))
+    keys = [(beta, grid.horizon) for beta in betas for grid in grids]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.jsonl"
-    done = {}
-    if resume and ckpt_path.exists():
-        with open(ckpt_path) as fh:
-            header = json.loads(fh.readline())
-            if header.get("config_digest") != digest or header.get("master_seed") != seed:
-                raise ResumeMismatch(
-                    f"checkpoint digest {header.get('config_digest')} does not match {digest}"
-                )
-            for line in fh:
-                rec = json.loads(line)
-                done[(rec["beta"], rec["t"], rec["replica"])] = (
-                    rec["log_z"], rec["boundary_mass"]
-                )
-        ckpt = open(ckpt_path, "a")
-    else:
+    done = _read_checkpoint(ckpt_path, digest, seed) if resume and ckpt_path.exists() else None
+    if done is None:
+        done = {}
         ckpt = open(ckpt_path, "w")
         ckpt.write(json.dumps({"config_digest": digest, "master_seed": seed}) + "\n")
         ckpt.flush()
+    else:
+        ckpt = open(ckpt_path, "a")
 
-    tasks = [
-        (beta, t, grids[t].n_steps, seed, r)
-        for beta in betas
-        for t in horizons
-        for r in range(n_replicas)
-        if (beta, t, r) not in done
-    ]
+    # a task is one replica with every (beta, t) pair; a replica missing any
+    # key is recomputed whole, and only its missing records are written
+    replicas = [r for r in range(n_replicas) if any(k + (r,) not in done for k in keys)]
     try:
-        for key, log_z, boundary in _run_tasks(model, tasks, threads):
-            done[key] = (log_z, boundary)
-            beta, t, r = key
-            ckpt.write(json.dumps({
-                "beta": beta, "t": t, "replica": r,
-                "log_z": log_z, "boundary_mass": boundary,
-            }) + "\n")
+        for r, values in _run_tasks(model, betas, grids, seed, replicas, threads):
+            records = []
+            for beta, t in keys:
+                if (beta, t, r) in done:
+                    continue
+                log_z, boundary = done[(beta, t, r)] = values[(beta, t)]
+                records.append(json.dumps({
+                    "beta": beta, "t": t, "replica": r,
+                    "log_z": log_z, "boundary_mass": boundary,
+                }) + "\n")
+            ckpt.write("".join(records))
             ckpt.flush()
     finally:
         ckpt.close()
 
-    # keyed reduction, independent of completion order
-    finals, all_points = [], []
-    for beta in betas:
-        pts = []
-        for t in horizons:
-            logs = [done[(beta, t, r)][0] for r in range(n_replicas)]
-            boundary = max(done[(beta, t, r)][1] for r in range(n_replicas))
-            pts.append(point_from_replicas(model, beta, grids[t], logs, boundary))
-        all_points.extend(pts)
-        finals.append(extrapolate_in_t(pts) if len(pts) >= 3 else pts[-1])
-    curve = FreeEnergyCurve(points=finals, all_points=all_points, model=model,
-                            master_seed=seed, provenance=digest)
+    curve = sweep_curve(model, betas, grids, n_replicas, done, seed, digest)
     write_curve_csv(out_dir / "curve.csv", curve, digest)
     return curve
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, Lattice, circulant_spectrum
 from .environment import TimeGrid, sample_slab
-from .partition import BrownianPathSampler, WalkKernel, montecarlo_logZ, transfer_matrix_logZ
+from .partition import BrownianPathSampler, WalkKernel, montecarlo_logZ, propagate
 
 LATTICE_WALK = "lattice-walk"
 BROWNIAN_EPS = "brownian-eps"
@@ -127,27 +127,75 @@ class FreeEnergyCurve:
         return np.asarray([p.stderr for p in self.points])
 
 
-def single_replica_log_z(model: ModelConfig, beta: float, grid: TimeGrid, master_seed: int,
-                  replica: int, spectrum=None):
-    """log Z and boundary mass for one environment replica (pure in its
-    arguments; this is the unit of parallel work)."""
-    lattice = model.lattice(beta)
-    slab = sample_slab(model.spec, lattice, grid, master_seed, replica, spectrum)
-    if model.kind == LATTICE_WALK:
-        est = transfer_matrix_logZ(slab, beta, WalkKernel(model.d, grid.dt))
-    else:
-        eps = model.epsilon(beta)
-        per = max(1, math.ceil(100.0 * grid.dt / (eps * eps)))
-        sampler = BrownianPathSampler(model.d, eps, grid.dt / per)
-        est = montecarlo_logZ(slab, beta, sampler, model.n_paths, master_seed, replica)
-    return est.log_z, est.boundary_mass
-
-
 def make_grid(model: ModelConfig, beta: float, t: float, dt: float | None = None) -> TimeGrid:
     if dt is None:
         dt = model.dt_target(beta)
     n_steps = max(1, math.ceil(t / dt - 1e-9))
     return TimeGrid(horizon=t, n_steps=n_steps)
+
+
+def sweep_grids(model: ModelConfig, betas, horizons) -> list:
+    """One time grid per horizon, all from the step the largest beta needs,
+    so every beta sees the same slabs (common random numbers)."""
+    dt = model.dt_target(max(betas))
+    return [make_grid(model, max(betas), t, dt) for t in horizons]
+
+
+def sweep_spectra(model: ModelConfig, betas) -> dict:
+    """Circulant spectrum of each distinct lattice of a sweep, keyed by
+    lattice; empty for white noise, which needs none."""
+    spectra = {}
+    if model.spec.family != "white_noise":
+        for beta in betas:
+            lattice = model.lattice(beta)
+            if lattice not in spectra:
+                spectra[lattice] = circulant_spectrum(model.spec, lattice)
+    return spectra
+
+
+def single_replica_log_z(model: ModelConfig, betas, grids, master_seed: int, replica: int,
+                         spectra=None) -> dict:
+    """{(beta, t): (log Z, boundary mass)} of one environment replica at
+    every beta and horizon grid of a sweep.  Pure in its arguments; this is
+    the unit of parallel work.
+
+    lattice-walk: one slab per distinct dt, drawn at the longest horizon
+    with that dt, and one batched propagation reading every beta and every
+    horizon as a prefix.  Horizons share a prefix only when their dt are
+    equal floats.  brownian-eps: eps, and so the lattice, changes with beta,
+    so each (beta, t) gets its own slab and Monte Carlo estimate.
+    """
+    if spectra is None:
+        spectra = sweep_spectra(model, betas)
+    out = {}
+    if model.kind == LATTICE_WALK:
+        lattice = model.lattice(betas[0])
+        by_dt = {}
+        for grid in grids:
+            by_dt.setdefault(grid.dt, []).append(grid)
+        for same_dt in by_dt.values():
+            longest = max(same_dt, key=lambda g: g.n_steps)
+            # the slab is a temporary: it is freed before the next one is drawn
+            log_z, boundary = propagate(
+                sample_slab(model.spec, lattice, longest, master_seed, replica,
+                            spectra.get(lattice)).increments[:, None],
+                betas, WalkKernel(model.d, longest.dt), lattice,
+                [g.n_steps for g in same_dt])
+            for i, grid in enumerate(same_dt):
+                for j, beta in enumerate(betas):
+                    out[(beta, grid.horizon)] = (float(log_z[i, j]), float(boundary[i, j]))
+        return out
+    for beta in betas:
+        lattice = model.lattice(beta)
+        eps = model.epsilon(beta)
+        for grid in grids:
+            slab = sample_slab(model.spec, lattice, grid, master_seed, replica,
+                               spectra.get(lattice))
+            per = max(1, math.ceil(100.0 * grid.dt / (eps * eps)))
+            sampler = BrownianPathSampler(model.d, eps, grid.dt / per)
+            est = montecarlo_logZ(slab, beta, sampler, model.n_paths, master_seed, replica)
+            out[(beta, grid.horizon)] = (est.log_z, est.boundary_mass)
+    return out
 
 
 def estimate_pt(
@@ -162,15 +210,10 @@ def estimate_pt(
     if n_replicas < 2:
         raise FreeEnergyError("need n_replicas >= 2")
     grid = make_grid(model, beta, t, dt)
-    spectrum = None
-    if model.spec.family != "white_noise":
-        spectrum = circulant_spectrum(model.spec, model.lattice(beta))
-    logs = np.empty(n_replicas)
-    boundary = 0.0
-    for r in range(n_replicas):
-        logs[r], b = single_replica_log_z(model, beta, grid, master_seed, r, spectrum)
-        boundary = max(boundary, b)
-    return point_from_replicas(model, beta, grid, logs, boundary)
+    spectra = sweep_spectra(model, [beta])
+    per = [single_replica_log_z(model, [beta], [grid], master_seed, r, spectra)[(beta, t)]
+           for r in range(n_replicas)]
+    return point_from_replicas(model, beta, grid, [p[0] for p in per], max(p[1] for p in per))
 
 
 def point_from_replicas(model, beta, grid, logs, boundary) -> FreeEnergyPoint:
@@ -225,25 +268,35 @@ def beta_sweep(
     master_seed: int,
     provenance: str = "",
 ) -> FreeEnergyCurve:
-    """Estimate p_t over a beta grid with common replica slabs.
-
-    One time grid per horizon, chosen for the largest beta, is shared by
-    every beta so replicas see identical environments across the grid
-    (common random numbers).
-    """
+    """Estimate p_t over a beta grid with common replica slabs, one replica
+    (every beta and every horizon) at a time."""
+    if n_replicas < 2:
+        raise FreeEnergyError("need n_replicas >= 2")
     betas = sorted(float(b) for b in betas)
-    horizons = sorted(float(t) for t in horizons)
-    dt = model.dt_target(max(betas))
+    grids = sweep_grids(model, betas, sorted(float(t) for t in horizons))
+    spectra = sweep_spectra(model, betas)
+    results = {}
+    for r in range(n_replicas):
+        for (beta, t), value in single_replica_log_z(model, betas, grids, master_seed, r,
+                                                     spectra).items():
+            results[(beta, t, r)] = value
+    return sweep_curve(model, betas, grids, n_replicas, results, master_seed, provenance)
+
+
+def sweep_curve(model: ModelConfig, betas, grids, n_replicas: int, results: dict,
+                master_seed: int, provenance: str = "") -> FreeEnergyCurve:
+    """Keyed reduction of {(beta, t, replica): (log Z, boundary mass)} to a
+    curve, independent of the order in which the results were computed."""
     finals, all_points = [], []
     log_matrix = np.empty((len(betas), n_replicas))
     for bi, beta in enumerate(betas):
         pts = []
-        for t in horizons:
-            pt = estimate_pt(model, beta, t, n_replicas, master_seed, dt=dt)
-            pts.append(pt)
-            all_points.append(pt)
-        final = extrapolate_in_t(pts) if len(pts) >= 3 else pts[-1]
-        finals.append(final)
+        for grid in grids:
+            per = [results[(beta, grid.horizon, r)] for r in range(n_replicas)]
+            pts.append(point_from_replicas(model, beta, grid, [p[0] for p in per],
+                                           max(p[1] for p in per)))
+        all_points.extend(pts)
+        finals.append(extrapolate_in_t(pts) if len(pts) >= 3 else pts[-1])
         log_matrix[bi] = pts[-1].log_zs
     return FreeEnergyCurve(
         points=finals,

@@ -89,51 +89,128 @@ def _seam_mask(lattice: Lattice) -> np.ndarray:
     return mask
 
 
-def _apply_kernel(u: np.ndarray, kernel: WalkKernel) -> np.ndarray:
-    v = kernel.stay * u
-    for axis in range(kernel.d):
-        v = v + kernel.move * (np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis))
-    return v
+# the step exponents of one propagation are precomputed this many bytes at
+# a time: enough steps to amortize the per-chunk calls, small enough to stay
+# in cache and out of the peak resident set
+_CHUNK_BYTES = 1 << 16
+# slab bytes stacked into one block of replicas by annealed_mean_check
+_BLOCK_BYTES = 1 << 22
+
+
+def _check_kernel(kernel: WalkKernel, grid: TimeGrid) -> None:
+    if abs(kernel.dt - grid.dt) > 1e-12 * grid.dt:
+        raise PartitionError("kernel inconsistent with slab grid")
+
+
+def _axis_operator(kernel: WalkKernel, extent: int) -> np.ndarray:
+    """Circulant tridiagonal matrix of the kernel along one axis; summing it
+    over the d axes gives the full kernel (the stay weight is split evenly)."""
+    op = np.zeros((extent, extent))
+    idx = np.arange(extent)
+    op[idx, idx] = kernel.stay / kernel.d
+    op[idx, (idx + 1) % extent] = kernel.move
+    op[idx, (idx - 1) % extent] = kernel.move
+    return op
+
+
+def propagate(increments: np.ndarray, betas, kernel: WalkKernel, lattice: Lattice, stops):
+    """Batched Feynman-Kac propagation of the origin indicator.
+
+    increments : shape (n_steps, R) + lattice.shape; R = 1 shares one slab
+        across every beta, otherwise row r propagates slab r.
+    betas : shape (B,) with B = 1, B = R or R = 1; the state has max(B, R)
+        rows.
+    stops : step counts at which to read out; stop n sees exactly the first
+        n steps, so one pass serves every horizon that shares dt.
+
+    Returns (log_z, boundary_mass), each of shape (len(stops), rows).
+    Each step weights the state (with max-subtraction), applies the kernel
+    and renormalizes to unit mass, so log Z of order thousands never
+    overflows.  log Z is exactly 0.0 in every row whose beta
+    is 0 or whose increments up to the stop are all zero.
+    """
+    betas = np.asarray(betas, float).reshape(-1)
+    stops = [int(n) for n in stops]
+    n_steps = increments.shape[0]
+    if np.any(betas < 0):
+        raise PartitionError("beta must be >= 0")
+    if increments.shape[2:] != lattice.shape or kernel.d != lattice.dim:
+        raise PartitionError("kernel inconsistent with slab grid")
+    if not stops or min(stops) < 1 or max(stops) > n_steps:
+        raise PartitionError(f"stops must lie in [1, {n_steps}]")
+    n_run = max(stops)
+    L, d = lattice.extent, lattice.dim
+    ones = (1,) * d
+    site_axes = tuple(range(2, 2 + d))
+    rows = np.broadcast_shapes(betas.shape, increments.shape[1:2])[0]
+    beta_col = betas.reshape((1, -1) + ones)
+    op = _axis_operator(kernel, L)
+    # one matmul per step yields each row's total mass and its seam mass
+    proj = np.stack([np.ones(lattice.n_sites), _seam_mask(lattice).reshape(-1)], axis=1)
+
+    u = np.zeros((rows,) + lattice.shape)
+    u[(slice(None),) + (0,) * d] = 1.0
+    v = np.empty_like(u)
+    # views of the fixed state buffers for the per-axis kernel products: the
+    # last axis as rows of a matrix, every other axis as the middle of three
+    u_last, v_last = u.reshape(-1, L), v.reshape(-1, L)
+    inner = [(u.reshape(shape), v.reshape(shape))
+             for shape in ((rows * L**a, L, L ** (d - 1 - a)) for a in range(d - 1))]
+    v_flat = v.reshape(rows, -1)
+    acc = np.zeros(rows)
+    bmax = np.zeros(rows)
+    log_z = np.empty((len(stops), rows))
+    boundary = np.empty((len(stops), rows))
+    chunk = max(1, _CHUNK_BYTES // u.nbytes)
+    masses = np.empty((chunk, rows, 2))
+    totals = masses[(slice(None), slice(None), 0) + (None,) * d]  # a view
+    for k0 in range(0, n_run, chunk):
+        c = min(chunk, n_run - k0)
+        # a zero or non-finite mass poisons the rest of the chunk quietly;
+        # the guard after the loop turns it into PartitionError
+        with np.errstate(all="ignore"):
+            w = beta_col * increments[k0:k0 + c]
+            m = w.max(axis=site_axes, keepdims=True)
+            w -= m
+            np.exp(w, out=w)
+            for k in range(c):
+                np.multiply(u, w[k], out=u)
+                np.matmul(u_last, op, out=v_last)
+                for u_ax, v_ax in inner:
+                    v_ax += op @ u_ax
+                np.matmul(v_flat, proj, out=masses[k])
+                np.divide(v, totals[k], out=u)
+            total = masses[:c, :, 0]
+            step_log = m.reshape(c, rows) + np.log(total)
+            if not np.isfinite(step_log).all():
+                raise PartitionError(
+                    "non-finite transfer intermediate: beta*increment too large; "
+                    "reduce dt or check lattice configuration"
+                )
+            step_bnd = masses[:c, :, 1] / total
+        for i, n in enumerate(stops):
+            if k0 < n <= k0 + c:
+                log_z[i] = acc + step_log[: n - k0].sum(axis=0)
+                boundary[i] = np.maximum(bmax, step_bnd[: n - k0].max(axis=0))
+        acc += step_log.sum(axis=0)
+        np.maximum(bmax, step_bnd.max(axis=0), out=bmax)
+
+    active = increments[:n_run].any(axis=site_axes)  # (n_run, R)
+    first_active = np.where(active.any(axis=0), active.argmax(axis=0), n_run)
+    trivial = (betas == 0.0) | (np.asarray(stops)[:, None] <= first_active)
+    log_z[np.broadcast_to(trivial, log_z.shape)] = 0.0
+    return log_z, boundary
 
 
 def transfer_matrix_logZ(
     slab: EnvironmentSlab, beta: float, kernel: WalkKernel
 ) -> PartitionEstimate:
-    """Feynman-Kac propagation of the origin indicator with per-step
-    renormalization, so the running log never overflows."""
-    if beta < 0:
-        raise PartitionError("beta must be >= 0")
-    if kernel.d != slab.lattice.dim or abs(kernel.dt - slab.grid.dt) > 1e-12 * slab.grid.dt:
-        raise PartitionError("kernel inconsistent with slab grid")
-    lattice = slab.lattice
-    trivial = beta == 0.0 or not slab.increments.any()
-    mask = _seam_mask(lattice)
-
-    u = np.zeros(lattice.shape)
-    u[(0,) * lattice.dim] = 1.0
-    log_acc = 0.0
-    boundary = 0.0
-    for k in range(slab.grid.n_steps):
-        if not trivial:
-            expo = beta * slab.increments[k]
-            m = float(expo.max())
-            u = u * np.exp(expo - m)
-            s = float(u.sum())
-            if not (s > 0 and math.isfinite(s)):
-                raise PartitionError(
-                    "non-finite transfer intermediate: beta*increment too large; "
-                    "reduce dt or check lattice configuration"
-                )
-            log_acc += m + math.log(s)
-            u /= s
-        u = _apply_kernel(u, kernel)
-        s = float(u.sum())
-        boundary = max(boundary, float(u[mask].sum()) / s)
-        if not trivial:
-            log_acc += math.log(s)
-            u /= s
-    log_z = 0.0 if trivial else log_acc
-    return PartitionEstimate(log_z=log_z, stderr=0.0, method="transfer", boundary_mass=boundary)
+    """log Z of one slab at one beta: `propagate` with one row and one stop."""
+    _check_kernel(kernel, slab.grid)
+    log_z, boundary = propagate(slab.increments[:, None], [beta], kernel, slab.lattice,
+                                [slab.grid.n_steps])
+    return PartitionEstimate(log_z=float(log_z[0, 0]), stderr=0.0, method="transfer",
+                             boundary_mass=float(boundary[0, 0]))
 
 
 def enumerate_logZ(
@@ -296,7 +373,8 @@ def annealed_mean_check(
     """Replica mean of Z_t against the annealed value exp(beta^2 Q(0) t / 2).
 
     Q(0) is the realized zero-offset variance (equal to q0 up to clipped
-    spectral mass), so the identity is exact at any dt.
+    spectral mass), so the identity is exact at any dt.  Replicas propagate
+    in blocks of stacked slabs, one row per replica.
     """
     if spec.family != "white_noise":
         spectrum = circulant_spectrum(spec, lattice)
@@ -306,10 +384,17 @@ def annealed_mean_check(
         q0 = spec.q0
     if beta**2 * q0 * grid.horizon > 8 + 1e-9:
         raise PartitionError("beta^2 q0 t too large: annealed mean not estimable")
+    _check_kernel(kernel, grid)
+    n = grid.n_steps
+    block = max(1, _BLOCK_BYTES // (8 * n * lattice.n_sites))
     zs = np.empty(n_replicas)
-    for r in range(n_replicas):
-        slab = sample_slab(spec, lattice, grid, seed, r, spectrum)
-        zs[r] = math.exp(transfer_matrix_logZ(slab, beta, kernel).log_z)
+    for r0 in range(0, n_replicas, block):
+        count = min(block, n_replicas - r0)
+        slabs = np.empty((n, count) + lattice.shape)
+        for j in range(count):
+            slabs[:, j] = sample_slab(spec, lattice, grid, seed, r0 + j, spectrum).increments
+        log_z, _ = propagate(slabs, [beta], kernel, lattice, [n])
+        zs[r0:r0 + count] = np.exp(log_z[0])
     target = math.exp(0.5 * beta**2 * q0 * grid.horizon)
     probe = ProbeResult(
         label=f"annealed mean beta={beta} t={grid.horizon}",

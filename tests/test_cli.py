@@ -179,3 +179,46 @@ def test_env_var_threads(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli(["sweep", "--config", path, "--out", out]) == 0
     assert (out / "curve.csv").exists()
+
+
+def test_missing_lattice_d_exit_2(tmp_path, capsys):
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    del cfg["lattice"]["d"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli(["sweep", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert "'lattice'.'d'" in capsys.readouterr().err
+
+
+def test_missing_master_seed_exit_2(tmp_path, capsys):
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    del cfg["sweep"]["master_seed"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run_cli(["sweep", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert "'sweep'.'master_seed'" in capsys.readouterr().err
+
+
+def test_resume_after_torn_checkpoint_line(tmp_path):
+    # a crash mid-write leaves a partial last record; resume cuts it off and
+    # recomputes the replicas whose keys are then missing
+    path = write_config(tmp_path, {
+        "sweep": {"betas": [0.5, 1.0], "n_replicas": 3},
+        "time": {"horizons": [1.0, 2.0]},
+    })
+    full = tmp_path / "full"
+    assert run_cli(["sweep", "--config", path, "--out", full]) == 0
+    ref = (full / "curve.csv").read_bytes()
+    data = (full / "checkpoint.jsonl").read_bytes()
+    header_end = data.index(b"\n") + 1
+    second_end = data.index(b"\n", header_end) + 1
+    offsets = [0, 5, header_end - 1, header_end, header_end + 7, second_end - 1,
+               second_end, len(data) // 2, len(data) - 3, len(data)]
+    for off in offsets:
+        part = tmp_path / f"part{off}"
+        part.mkdir()
+        (part / "checkpoint.jsonl").write_bytes(data[:off])
+        assert run_cli(["sweep", "--config", path, "--out", part, "--resume"]) == 0, off
+        assert (part / "curve.csv").read_bytes() == ref, off
+        records = (part / "checkpoint.jsonl").read_text().splitlines()
+        assert len({line for line in records[1:]}) == len(records) - 1 == 2 * 2 * 3, off
